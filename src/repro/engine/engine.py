@@ -430,6 +430,11 @@ class AcquisitionalEngine:
                 f"readings shape {matrix.shape} incompatible with schema of "
                 f"{len(self._schema)} attributes"
             )
+        if matrix.dtype.kind not in "biuf":
+            raise QueryError(
+                f"readings dtype {matrix.dtype} is not numeric; attribute "
+                "values must be integers"
+            )
         return matrix
 
     def _select_indices(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "PlanningResult",
     "Planner",
     "SequentialPlanner",
+    "SplitSides",
     "effective_cost",
     "resolved_leaf",
     "sequential_node_from_order",
@@ -147,6 +148,23 @@ class SequentialPlanner(Planner):
         :class:`VerdictLeaf` when the ranges already determine the query.
         """
 
+    def plan_split_sides(
+        self,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+        attribute_index: int,
+        candidates: Sequence[int],
+    ) -> "SplitSides":
+        """Sequential plans for both sides of every candidate split.
+
+        GreedySplit (Figure 6) prices each candidate ``T(X_i >= x)`` by the
+        base plans of ``ranges.split(attribute_index, x)``.  This default
+        plans each side with :meth:`plan_sequence` on first use, so sides
+        GreedySplit prunes are never planned; planners that can score all
+        sides of an attribute together override it.
+        """
+        return SplitSides(self, query, ranges, attribute_index, candidates)
+
     def plan(self, query: ConjunctiveQuery) -> PlanningResult:
         require_conjunctive(query)
         ranges = RangeVector.full(self.schema)
@@ -155,6 +173,55 @@ class SequentialPlanner(Planner):
         return PlanningResult(
             plan=node, expected_cost=cost, planner=self.name, stats=stats
         )
+
+
+class SplitSides:
+    """Base sequential plans for the two sides of one attribute's splits.
+
+    Position ``k`` names the candidate split ``candidates[k]``; side
+    ``above=False`` is ``[a, x-1]`` and ``above=True`` is ``[x, b]``.  This
+    is the reference implementation: each side is planned with
+    ``planner.plan_sequence`` the first time its cost or plan is read.
+    ``plans_built`` counts the side plans produced so far.
+    """
+
+    def __init__(
+        self,
+        planner: SequentialPlanner,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+        attribute_index: int,
+        candidates: Sequence[int],
+    ) -> None:
+        self._planner = planner
+        self._query = query
+        self._ranges = ranges
+        self._attribute_index = attribute_index
+        self._candidates = tuple(candidates)
+        self._sides: dict[tuple[int, bool], tuple[float, PlanNode]] = {}
+
+    @property
+    def plans_built(self) -> int:
+        return len(self._sides)
+
+    def cost(self, position: int, above: bool) -> float:
+        """Expected cost of the side's base plan, conditioned on the side."""
+        return self._side(position, above)[0]
+
+    def plan(self, position: int, above: bool) -> PlanNode:
+        """The side's base sequential plan."""
+        return self._side(position, above)[1]
+
+    def _side(self, position: int, above: bool) -> tuple[float, PlanNode]:
+        key = (position, above)
+        side = self._sides.get(key)
+        if side is None:
+            halves = self._ranges.split(
+                self._attribute_index, self._candidates[position]
+            )
+            side = self._planner.plan_sequence(self._query, halves[above])
+            self._sides[key] = side
+        return side
 
 
 def require_conjunctive(query) -> None:

@@ -35,8 +35,7 @@ from repro.planning.base import (
     PlanningResult,
     SequentialPlanner,
 )
-from repro.planning.greedy_conditional import _Frontier, _TreeNode
-from repro.planning.greedy_split import greedy_split
+from repro.planning.greedy_conditional import _Frontier, _TreeNode, leaf_split
 from repro.planning.split_points import SplitPointPolicy
 from repro.probability import Distribution
 
@@ -121,14 +120,8 @@ class SizeAwareConditionalPlanner(Planner):
                 node=root,
                 ranges=full,
                 sequential_cost=root_cost,
-                split=greedy_split(
-                    query,
-                    full,
-                    self.distribution,
-                    self._base,
-                    policy,
-                    stats,
-                    self.cost_model,
+                split=leaf_split(
+                    self._base, query, full, policy, stats, self._max_splits
                 ),
                 reach_probability=1.0,
             ),
@@ -173,6 +166,7 @@ class SizeAwareConditionalPlanner(Planner):
                 below=below_node,
                 above=above_node,
             )
+            splits_left = self._max_splits - splits_used - 1
             for node, ranges, cost, probability in (
                 (
                     below_node,
@@ -194,14 +188,13 @@ class SizeAwareConditionalPlanner(Planner):
                         node=node,
                         ranges=ranges,
                         sequential_cost=cost,
-                        split=greedy_split(
+                        split=leaf_split(
+                            self._base,
                             query,
                             ranges,
-                            self.distribution,
-                            self._base,
                             policy,
                             stats,
-                            self.cost_model,
+                            splits_left,
                         ),
                         reach_probability=probability,
                     ),

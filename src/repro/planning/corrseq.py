@@ -10,10 +10,12 @@ datasets of any size.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.plan import PlanNode
 from repro.core.query import ConjunctiveQuery
 from repro.core.ranges import RangeVector
-from repro.planning.base import SequentialPlanner
+from repro.planning.base import SequentialPlanner, SplitSides
 from repro.planning.greedy_sequential import GreedySequentialPlanner
 from repro.planning.optimal_sequential import OptimalSequentialPlanner
 from repro.probability.base import Distribution
@@ -48,3 +50,19 @@ class CorrSeqPlanner(SequentialPlanner):
         if undetermined <= self._optimal_threshold:
             return self._optimal.plan_sequence(query, ranges)
         return self._greedy.plan_sequence(query, ranges)
+
+    def plan_split_sides(
+        self,
+        query: ConjunctiveQuery,
+        ranges: RangeVector,
+        attribute_index: int,
+        candidates: Sequence[int],
+    ) -> SplitSides:
+        # A split only removes predicates, so a subproblem at or under the
+        # threshold has every side there too; otherwise each side picks its
+        # planner in plan_sequence.
+        if len(query.undetermined_predicates(ranges)) <= self._optimal_threshold:
+            return self._optimal.plan_split_sides(
+                query, ranges, attribute_index, candidates
+            )
+        return super().plan_split_sides(query, ranges, attribute_index, candidates)

@@ -177,7 +177,9 @@ class GreedyConditionalPlanner(Planner):
             node=root,
             ranges=full,
             sequential_cost=root_cost,
-            split=self._split_for(query, full, policy, stats),
+            split=leaf_split(
+                self._base, query, full, policy, stats, self._max_splits
+            ),
             reach_probability=1.0,
         )
 
@@ -206,6 +208,7 @@ class GreedyConditionalPlanner(Planner):
                 below=below_node,
                 above=above_node,
             )
+            splits_left = self._max_splits - splits_used - 1
             self._push(
                 queue,
                 counter,
@@ -213,7 +216,14 @@ class GreedyConditionalPlanner(Planner):
                     node=below_node,
                     ranges=below_ranges,
                     sequential_cost=split.below_cost,
-                    split=self._split_for(query, below_ranges, policy, stats),
+                    split=leaf_split(
+                        self._base,
+                        query,
+                        below_ranges,
+                        policy,
+                        stats,
+                        splits_left,
+                    ),
                     reach_probability=leaf.reach_probability
                     * split.probability_below,
                 ),
@@ -225,7 +235,14 @@ class GreedyConditionalPlanner(Planner):
                     node=above_node,
                     ranges=above_ranges,
                     sequential_cost=split.above_cost,
-                    split=self._split_for(query, above_ranges, policy, stats),
+                    split=leaf_split(
+                        self._base,
+                        query,
+                        above_ranges,
+                        policy,
+                        stats,
+                        splits_left,
+                    ),
                     reach_probability=leaf.reach_probability
                     * (1.0 - split.probability_below),
                 ),
@@ -250,25 +267,34 @@ class GreedyConditionalPlanner(Planner):
             ),
         )
 
-    def _split_for(
-        self,
-        query: ConjunctiveQuery,
-        ranges: RangeVector,
-        policy: SplitPointPolicy,
-        stats: PlannerStats,
-    ) -> SplitChoice | None:
-        return greedy_split(
-            query,
-            ranges,
-            self.distribution,
-            self._base,
-            policy,
-            stats,
-            self.cost_model,
-        )
-
     @staticmethod
     def _push(queue, counter, leaf: _Frontier) -> None:
         if leaf.split is None or leaf.priority <= 0.0:
             return
         heapq.heappush(queue, (-leaf.priority, next(counter), leaf))
+
+
+def leaf_split(
+    base_planner: SequentialPlanner,
+    query: ConjunctiveQuery,
+    ranges: RangeVector,
+    policy: SplitPointPolicy,
+    stats: PlannerStats,
+    splits_left: int,
+) -> SplitChoice | None:
+    """A new frontier leaf's locally optimal split.
+
+    None when no expansion is left to apply it: such a leaf is never
+    popped, so its split search would be wasted.
+    """
+    if splits_left <= 0:
+        return None
+    return greedy_split(
+        query,
+        ranges,
+        base_planner.distribution,
+        base_planner,
+        policy,
+        stats,
+        base_planner.cost_model,
+    )

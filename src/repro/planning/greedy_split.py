@@ -59,38 +59,34 @@ def greedy_split(
 
     Implements Figure 6 including its pruning: an attribute whose
     acquisition cost alone reaches the best total so far is skipped, and the
-    second side of a split is only planned when the first side leaves room.
+    second side of a split is only priced when the first side leaves room.
+    The base planner supplies all side plans of an attribute at once
+    (:meth:`SequentialPlanner.plan_split_sides`), so OptSeq can score them
+    from one cumulative joint table.
     """
     schema = distribution.schema
     best: SplitChoice | None = None
-    side_cache: dict[RangeVector, tuple[float, PlanNode]] = {}
-
-    def side_plan(side: RangeVector) -> tuple[float, PlanNode]:
-        cached = side_cache.get(side)
-        if cached is None:
-            cached = base_planner.plan_sequence(query, side)
-            side_cache[side] = cached
-            if stats is not None:
-                stats.sequential_plans_built += 1
-        return cached
-
     for index in range(len(schema)):
         acquisition = effective_cost(schema, ranges, index, cost_model)
         if best is not None and acquisition >= best.cost:
             continue
         candidates = policy.candidates(index, ranges)
+        if not candidates:
+            continue
         below_probabilities = split_probabilities(
             distribution, index, candidates, ranges
         )
-        for split_value, probability_below in zip(candidates, below_probabilities):
+        sides = base_planner.plan_split_sides(query, ranges, index, candidates)
+        for position, (split_value, probability_below) in enumerate(
+            zip(candidates, below_probabilities)
+        ):
             if stats is not None:
                 stats.splits_considered += 1
-            below_ranges, above_ranges = ranges.split(index, split_value)
-            below_cost, below_plan = side_plan(below_ranges)
+            below_cost = sides.cost(position, above=False)
             total = acquisition + probability_below * below_cost
             if best is not None and total >= best.cost:
                 continue
-            above_cost, above_plan = side_plan(above_ranges)
+            above_cost = sides.cost(position, above=True)
             total += (1.0 - probability_below) * above_cost
             if best is None or total < best.cost:
                 best = SplitChoice(
@@ -99,8 +95,10 @@ def greedy_split(
                     split_value=split_value,
                     probability_below=probability_below,
                     below_cost=below_cost,
-                    below_plan=below_plan,
+                    below_plan=sides.plan(position, above=False),
                     above_cost=above_cost,
-                    above_plan=above_plan,
+                    above_plan=sides.plan(position, above=True),
                 )
+        if stats is not None:
+            stats.sequential_plans_built += sides.plans_built
     return best

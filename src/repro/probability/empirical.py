@@ -193,13 +193,40 @@ class EmpiricalDistribution(Distribution):
         size = 1 << len(bindings)
         if rows.size == 0:
             return np.zeros(size, dtype=np.float64)
-        codes = np.zeros(rows.size, dtype=np.int64)
-        for bit, binding in enumerate(bindings):
-            codes |= self._satisfaction_mask(binding)[rows].astype(np.int64) << bit
+        codes = self._outcome_codes(bindings, rows)
         counts = np.bincount(codes, minlength=size).astype(np.float64)
         if self._smoothing:
             counts += self._smoothing
         return counts / counts.sum()
+
+    def value_outcome_counts(
+        self,
+        attribute_index: int,
+        bindings: Sequence[PredicateBinding],
+        ranges: RangeVector,
+    ) -> np.ndarray:
+        """Subproblem row counts by (value of one attribute, outcome code).
+
+        Entry ``[v, s]`` counts the rows of ``ranges`` whose attribute
+        ``attribute_index`` equals ``low + v`` and whose predicate outcomes
+        form bitmask ``s`` (bit ``j`` for ``bindings[j]``, as in
+        :meth:`predicate_joint`).  Its cumulative sum along the value axis
+        is the raw joint of every split side at once (Equation 7 lifted to
+        the predicate lattice).
+        """
+        if len(bindings) > _MAX_JOINT_PREDICATES:
+            raise DistributionError(
+                f"joint over {len(bindings)} predicates would need "
+                f"2**{len(bindings)} entries; use GreedySeq-style conditional "
+                "queries instead"
+            )
+        rows = self.rows_matching(ranges)
+        interval = ranges[attribute_index]
+        size = 1 << len(bindings)
+        cells = (self._data[rows, attribute_index] - interval.low) * size
+        cells += self._outcome_codes(bindings, rows)
+        counts = np.bincount(cells, minlength=len(interval) * size)
+        return counts.reshape(len(interval), size)
 
     def satisfied_given_satisfied(
         self,
@@ -249,6 +276,15 @@ class EmpiricalDistribution(Distribution):
                 mask = table[column - 1]
             self._predicate_masks[key] = mask
         return mask
+
+    def _outcome_codes(
+        self, bindings: Sequence[PredicateBinding], rows: np.ndarray
+    ) -> np.ndarray:
+        """Per-row predicate-outcome bitmask over ``rows``."""
+        codes = np.zeros(rows.size, dtype=np.int64)
+        for bit, binding in enumerate(bindings):
+            codes |= self._satisfaction_mask(binding)[rows].astype(np.int64) << bit
+        return codes
 
     def _conjunction_mask(
         self, bindings: Sequence[PredicateBinding], rows: np.ndarray

@@ -372,3 +372,15 @@ def test_bad_statement_fails_without_poisoning_the_batch() -> None:
             assert isinstance(bad, Exception)
 
     asyncio.run(main())
+
+
+def test_shard_rejects_string_readings_without_poisoning_the_batch() -> None:
+    async def main() -> None:
+        async with make_cluster(shards=1) as cluster:
+            good, bad = await cluster.execute_many(
+                [(QUERY, READINGS), (QUERY, READINGS.astype(str))]
+            )
+            assert good.ok
+            assert not bad.ok and "not numeric" in bad.error
+
+    asyncio.run(main())

@@ -109,6 +109,10 @@ class TestExecute:
         with pytest.raises(QueryError):
             engine.execute("SELECT * WHERE temp >= 3", np.ones((5, 2), dtype=int))
 
+    def test_non_numeric_readings_rejected(self, engine):
+        with pytest.raises(QueryError, match="not numeric"):
+            engine.execute("SELECT * WHERE temp >= 3", np.full((5, 3), "2"))
+
 
 class TestExplain:
     def test_explain_mentions_plan_and_probabilities(self, engine):

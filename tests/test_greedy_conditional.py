@@ -18,6 +18,7 @@ from repro.planning import (
     GreedyConditionalPlanner,
     GreedySequentialPlanner,
     OptimalSequentialPlanner,
+    SizeAwareConditionalPlanner,
     SplitPointPolicy,
     greedy_split,
 )
@@ -206,6 +207,44 @@ class TestHeuristicPlanner:
         assert result.plan.condition_count() < 10
         sequential_cost = base.plan(query).expected_cost
         assert result.expected_cost == pytest.approx(sequential_cost, rel=1e-9)
+
+
+class TestSplitSearchCount:
+    """Only leaves a later expansion could pop get a split search."""
+
+    @staticmethod
+    def _counted_plan(monkeypatch, planner, query):
+        import repro.planning.greedy_conditional as module
+
+        calls = []
+        search = module.greedy_split
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(module, "greedy_split", counted)
+        return planner.plan(query), len(calls)
+
+    @pytest.mark.parametrize("size_aware", [False, True])
+    @pytest.mark.parametrize("max_splits", [0, 1, 2])
+    def test_searches_per_expansion(self, monkeypatch, setup, size_aware, max_splits):
+        _schema, _data, distribution, query, base = setup
+        if size_aware:
+            planner = SizeAwareConditionalPlanner(
+                distribution, base, alpha=0.0, max_splits=max_splits
+            )
+        else:
+            planner = GreedyConditionalPlanner(
+                distribution, base, max_splits=max_splits
+            )
+        result, searches = self._counted_plan(monkeypatch, planner, query)
+        # Every allowed expansion happens on this instance, so the count
+        # is exact: the root, then both children of all but the last.
+        assert result.stats.subproblems == max_splits
+        assert searches == (0 if max_splits == 0 else 1 + 2 * (max_splits - 1))
+        if max_splits == 0:
+            assert result.stats.splits_considered == 0
 
 
 class TestGeneralization:

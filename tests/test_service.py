@@ -132,6 +132,22 @@ class TestBatching:
         assert service.execute_batch([]) == []
 
 
+class TestReadingsValidation:
+    """Non-numeric readings fail as a QueryError on every execution path."""
+
+    def test_execute_rejects_string_readings(self, service, live):
+        with pytest.raises(QueryError, match="not numeric"):
+            service.execute("SELECT * WHERE temp >= 3", live.astype(str))
+
+    def test_execute_batch_rejects_string_readings(self, service, live):
+        requests = [
+            ("SELECT * WHERE temp >= 3", live),
+            ("SELECT * WHERE temp >= 3", live.astype(str)),
+        ]
+        with pytest.raises(QueryError, match="not numeric"):
+            service.execute_batch(requests)
+
+
 class TestStreamExecutorGuards:
     def test_rejects_disjunctive_statements(self, service):
         with pytest.raises(QueryError):
